@@ -277,8 +277,8 @@ class ConcurrentLazyDatabase {
     return db_.CheckInvariants();
   }
 
-  /// Reconfigures join threading + scan caching (exclusive: the pool and
-  /// cache are rebuilt).
+  /// Reconfigures scan caching, compact scans and pruning (exclusive:
+  /// the cache is rebuilt).
   void SetQueryOptions(const QueryOptions& query) {
     std::unique_lock lock(mu_);
     db_.SetQueryOptions(query);

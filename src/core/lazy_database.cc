@@ -37,22 +37,6 @@ LazyDatabase::LazyDatabase(LazyDatabaseOptions options)
 
 void LazyDatabase::SetQueryOptions(const QueryOptions& query) {
   options_.query = query;
-  if (query.num_threads == 0) {
-    // Auto: the process-wide shared pool, so N databases in one process
-    // share one set of workers instead of spawning N * hw_concurrency
-    // threads (docs/PARALLELISM.md).
-    owned_pool_.reset();
-    query_pool_ = ThreadPool::Shared();
-  } else if (query.num_threads == 1) {
-    owned_pool_.reset();
-    query_pool_ = nullptr;
-  } else {
-    if (owned_pool_ == nullptr ||
-        owned_pool_->num_threads() != query.num_threads) {
-      owned_pool_ = std::make_unique<ThreadPool>(query.num_threads);
-    }
-    query_pool_ = owned_pool_.get();
-  }
   if (query.cache_bytes == 0) {
     scan_cache_.reset();
   } else if (scan_cache_ == nullptr ||
@@ -899,13 +883,9 @@ Result<LazyJoinResult> LazyDatabase::JoinByName(
     jopts.ancestor_sid_filter = &prune.ancestor_sids;
     jopts.descendant_sid_filter = &prune.descendant_sids;
   }
-  ParallelJoinOptions popts;
-  popts.join = jopts;
-  return ParallelLazyJoin(log_, index_, atid, dtid, popts,
-                          query_pool_, scan_cache_.get(), mutation_epoch_,
-                          options_.query.use_compact_index
-                              ? compact_index()
-                              : nullptr);
+  return LazyJoin(log_, index_, atid, dtid, jopts,
+                  options_.query.use_compact_index ? compact_index() : nullptr,
+                  scan_cache_.get(), mutation_epoch_);
 }
 
 bool LazyDatabase::QueryNeedsExclusive() const {
@@ -943,9 +923,9 @@ Result<std::unique_ptr<SnapshotReader>> LazyDatabase::OpenReadView() {
     if (compact_index() != nullptr) fresh->compact = compact_index_;
     snap = mvcc_.PinNew(std::move(fresh));
   }
-  return std::make_unique<SnapshotReader>(&mvcc_, std::move(snap), &index_,
-                                          scan_cache_.get(), query_pool_,
-                                          options_.query);
+  return std::make_unique<SnapshotReader>(
+      &mvcc_, std::move(snap), &index_, scan_cache_.get(),
+      options_.query.use_compact_index, options_.query.use_path_summary);
 }
 
 LazyDatabaseStats LazyDatabase::Stats() const {

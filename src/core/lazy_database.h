@@ -21,11 +21,9 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "core/compact_index.h"
 #include "core/element_index.h"
 #include "core/lazy_join.h"
-#include "core/parallel_join.h"
 #include "core/query_facade.h"
 #include "core/read_view.h"
 #include "core/scan_cache.h"
@@ -40,13 +38,31 @@
 
 namespace lazyxml {
 
+/// Query execution knobs, plumbed through LazyDatabase /
+/// DurableLazyDatabase into every join. None of them changes a join's
+/// output.
+struct QueryOptions {
+  /// Byte budget of the shared element-scan cache. 0 disables it.
+  size_t cache_bytes = 0;
+  /// Serve join element scans from the succinct frozen index
+  /// (core/compact_index.h) instead of the B+-tree. Built lazily at
+  /// Freeze()/first join and kept while the database is unmutated; join
+  /// output is byte-identical either way (A/B measurement flag).
+  bool use_compact_index = false;
+  /// Consult the path summary (query/path_summary.h) before each join:
+  /// provably-empty joins return without touching a tag list, other
+  /// joins scan only summary-qualified segments. Output is byte-identical
+  /// either way (A/B measurement flag; see docs/PATH_SUMMARY.md).
+  bool use_path_summary = true;
+};
+
 /// Facade configuration.
 struct LazyDatabaseOptions {
   /// LD (fully incremental) vs LS (freeze before query) — paper §5.1.
   LogMode mode = LogMode::kLazyDynamic;
   BTreeOptions element_index_options;
   BTreeOptions sb_tree_options;
-  /// Query execution: join worker threads + shared scan cache.
+  /// Query execution: scan cache, compact index, path-summary pruning.
   QueryOptions query;
 };
 
@@ -164,7 +180,8 @@ class LazyDatabase : public QueryFacade {
 
   // -- Query execution ---------------------------------------------------------
 
-  /// Reconfigures join threading + scan caching (benches sweep this).
+  /// Reconfigures scan caching, compact scans and pruning (benches
+  /// sweep this).
   /// Not thread-safe against concurrent queries.
   void SetQueryOptions(const QueryOptions& query);
   const QueryOptions& query_options() const { return options_.query; }
@@ -337,10 +354,6 @@ class LazyDatabase : public QueryFacade {
   TagDict dict_;
   UpdateCapture* capture_ = nullptr;
   uint64_t mutation_epoch_ = 0;
-  /// Pool joins run on: ThreadPool::Shared() when num_threads == 0,
-  /// `owned_pool_` for an explicit count > 1, null (serial) for 1.
-  ThreadPool* query_pool_ = nullptr;
-  std::unique_ptr<ThreadPool> owned_pool_;
   std::unique_ptr<ElementScanCache> scan_cache_;  // null when cache_bytes == 0
   /// Succinct frozen element index (core/compact_index.h), fresh iff
   /// compact_built_epoch_ == mutation_epoch_. shared_ptr: a snapshot

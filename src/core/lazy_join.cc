@@ -315,7 +315,7 @@ struct StackEntry {
   const SegmentNode* seg = nullptr;
   /// Materialized scan: unfiltered tree scan, or the straddle-filtered
   /// list under optimize_stack (both modes). Never mutated, so it is safe
-  /// to share across partitions and queries; the prune state lives in
+  /// to share across queries through the cache; the prune state lives in
   /// `live`, per entry. Null when the entry reads through `cursor`.
   ElementScan scan;
   /// Compact-mode unfiltered entry: block-at-a-time decoding cursor
@@ -353,49 +353,21 @@ StackEntry MakeStackEntry(const JoinContext& ctx, ScanFetcher* fetcher,
 
 }  // namespace
 
-Status RunJoinPartition(const JoinContext& ctx, const PartitionSeed& seed,
-                        LazyJoinResult* out) {
-  // Per-partition rounds span + latency: on pool threads the span opens
-  // its own trace (correlate with the query's "join.rounds" span by
-  // time); the histogram is what the scaling analysis reads.
-  obs::TraceSpan partition_span("join.partition");
-  LAZYXML_METRIC_HISTOGRAM(partition_hist, "join.partition_us");
-  obs::ScopedLatency partition_latency(partition_hist);
-  LAZYXML_METRIC_COUNTER(rounds_counter, "join.rounds");
-  rounds_counter.Add(seed.d_end - seed.d_begin);
+Status RunJoinRounds(const JoinContext& ctx, LazyJoinResult* out) {
   const std::span<const TagListEntry> sl_a = ctx.sl_a.entries;
   const std::span<const TagListEntry> sl_d = ctx.sl_d.entries;
+  LAZYXML_METRIC_COUNTER(rounds_counter, "join.rounds");
+  rounds_counter.Add(sl_d.size());
   const LazyJoinOptions& options = ctx.options;
   LazyJoinStats& stats = out->stats;
   ScanFetcher fetcher(ctx.index, ctx.cache, ctx.cache_epoch, ctx.compact,
                       ctx.versions);
   SpliceMemo memo(&ctx.resolver);
 
-  // Seed reconstruction: rebuild the entries live at round d_begin. Their
-  // cached splice positions are recomputed from the entry directly above
-  // (the path to anything nested inside the entry above enters `below`
-  // through the same child, so the value matches what the serial run
-  // cached at push time). Prune cursors start at 0 — pruning is a pure
-  // optimization; the `a.start >= p` / `a.end <= p` guards re-filter.
-  // Seeded entries are NOT counted as pushes: the serial run pushed them
-  // in an earlier partition's rounds.
   std::vector<StackEntry> stack;
-  stack.reserve(seed.live_stack.size() + 8);
-  for (size_t idx : seed.live_stack) {
-    StackEntry entry = MakeStackEntry(ctx, &fetcher, idx, &stats);
-    if (!stack.empty()) {
-      StackEntry& below = stack.back();
-      uint64_t p = 0;
-      if (memo.Find(sl_a[idx].path, below.seg->sid, &p)) {
-        below.cached_p = p;
-        below.has_cached_p = true;
-      }
-    }
-    stack.push_back(std::move(entry));
-  }
-
-  size_t ia = seed.ia_begin;
-  for (size_t id = seed.d_begin; id < seed.d_end; ++id) {
+  stack.reserve(8);
+  size_t ia = 0;
+  for (size_t id = 0; id < sl_d.size(); ++id) {
     const TagListEntry& de = sl_d[id];
     const SegmentNode* sd = ctx.sl_d.nodes[id];
 
@@ -523,26 +495,28 @@ Result<LazyJoinResult> LazyJoin(const UpdateLog& log,
                                 const ElementIndex& index, TagId ancestor_tid,
                                 TagId descendant_tid,
                                 const LazyJoinOptions& options,
-                                const CompactElementIndex* compact) {
+                                const CompactElementIndex* compact,
+                                ElementScanCache* cache, uint64_t cache_epoch,
+                                const ScanVersionSource* versions) {
   obs::TraceSpan query_span("join.query");
   LAZYXML_METRIC_COUNTER(queries_counter, "join.queries");
+  LAZYXML_METRIC_HISTOGRAM(query_hist, "join.query_us");
   queries_counter.Increment();
+  obs::ScopedLatency query_latency(query_hist);
   internal::JoinContext ctx;
   bool empty = false;
   {
     obs::TraceSpan prepare_span("join.prepare");
     LAZYXML_RETURN_NOT_OK(internal::PrepareJoinContext(
-        log, index, ancestor_tid, descendant_tid, options,
-        /*cache=*/nullptr, /*cache_epoch=*/0, compact, &ctx, &empty));
+        log, index, ancestor_tid, descendant_tid, options, cache, cache_epoch,
+        compact, &ctx, &empty, versions));
   }
   LazyJoinResult out;
   out.stats.segments_pruned = ctx.segments_pruned;
   out.stats.elements_skipped = ctx.elements_skipped;
   if (empty) return out;
-  internal::PartitionSeed whole;
-  whole.d_begin = 0;
-  whole.d_end = ctx.sl_d.entries.size();
-  LAZYXML_RETURN_NOT_OK(internal::RunJoinPartition(ctx, whole, &out));
+  obs::TraceSpan rounds_span("join.rounds");
+  LAZYXML_RETURN_NOT_OK(internal::RunJoinRounds(ctx, &out));
   return out;
 }
 

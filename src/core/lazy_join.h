@@ -36,6 +36,8 @@
 namespace lazyxml {
 
 class CompactElementIndex;  // core/compact_index.h
+class ElementScanCache;     // core/scan_cache.h
+class ScanVersionSource;    // core/scan_cache.h
 
 /// Lazy-Join knobs.
 struct LazyJoinOptions {
@@ -91,7 +93,6 @@ struct LazyJoinStats {
   uint64_t elements_fetched = 0;  ///< element-index records read/decoded
   uint64_t scan_cache_hits = 0;   ///< scans served without an index read
   uint64_t blocks_skipped = 0;    ///< compact blocks skipped by header test
-  uint64_t partitions = 1;        ///< executor partitions (1 = serial)
   /// Tag-list entries dropped by the path-summary sid filters before any
   /// scan was fetched (both roles), and the element occurrences those
   /// entries carried (elements the pruned run will never fetch).
@@ -111,12 +112,21 @@ struct LazyJoinResult {
 /// When `compact` is non-null, element scans are decoded from it instead
 /// of the B+-tree; it must be record-for-record equal to `index`
 /// (invariant I-COMPACT, see docs/COMPACT_INDEX.md), under which the
-/// output is byte-identical to the tree-scan run.
+/// output is byte-identical to the tree-scan run. When `cache` is
+/// non-null, scans are read through it at `cache_epoch` (the database
+/// mutation epoch the caller observed; see core/scan_cache.h). When
+/// `versions` is non-null (pinned-epoch view queries, docs/MVCC.md),
+/// tree-store scan reads consult it first, so lists retired after the
+/// view's epoch are served from their captured pre-images. Neither
+/// changes the output.
 Result<LazyJoinResult> LazyJoin(const UpdateLog& log,
                                 const ElementIndex& index,
                                 TagId ancestor_tid, TagId descendant_tid,
                                 const LazyJoinOptions& options = {},
-                                const CompactElementIndex* compact = nullptr);
+                                const CompactElementIndex* compact = nullptr,
+                                ElementScanCache* cache = nullptr,
+                                uint64_t cache_epoch = 0,
+                                const ScanVersionSource* versions = nullptr);
 
 }  // namespace lazyxml
 

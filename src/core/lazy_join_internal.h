@@ -1,18 +1,10 @@
-// Internal machinery shared by the serial Lazy-Join (core/lazy_join.h)
-// and the partitioned parallel executor (core/parallel_join.h). Not part
-// of the stable API.
+// Internal machinery of the serial Lazy-Join (core/lazy_join.h). Not
+// part of the stable API.
 //
-// The serial §4.2 kernel is factored into a *partition runner*: it joins
-// a contiguous range of descendant tag-list rounds given (a) the ancestor
-// cursor position at the range start and (b) the ancestor segments whose
-// stack entries are live when the range starts (the "seed stack"). The
-// full serial join is the special case {all rounds, cursor 0, empty
-// seed}. Because all cross-round state of the kernel — the ancestor
-// stack, its cached splice positions, and the prune cursors — is a pure
-// function of the round index (see docs/PARALLELISM.md for the argument),
-// seeded partitions emit pair-for-pair exactly what the serial kernel
-// emits for the same rounds, and concatenating partition outputs in round
-// order reproduces the serial output byte-identically.
+// A join is a per-query preparation step (PrepareJoinContext: validate
+// the log, apply the path-summary sid filters, resolve both segment
+// lists) followed by the §4.2 round loop over the prepared context
+// (RunJoinRounds).
 //
 // Supporting casts:
 //  * SegmentResolver — batched FindSegment: one SB-tree descent per
@@ -94,10 +86,8 @@ class SpliceMemo {
 /// block at a time into a bounded buffer (kCompactBlockMaxRecords
 /// records), so an unfiltered stack entry never holds a whole decoded
 /// list. Indexing is by record position — the same positions the
-/// materialized scan has — so the kernel's loops, prune cursors and
-/// partition seeds are identical under either representation (the
-/// serial-equivalence argument of docs/PARALLELISM.md carries over
-/// verbatim; see docs/COMPACT_INDEX.md).
+/// materialized scan has — so the kernel's loops and prune cursors are
+/// identical under either representation (see docs/COMPACT_INDEX.md).
 class BlockCursor {
  public:
   BlockCursor() = default;
@@ -127,7 +117,7 @@ class BlockCursor {
   size_t cur_hi_ = 0;  ///< record range of the buffered block (empty: 0,0)
 };
 
-/// Element-scan reads for one partition run: shared cache first (when
+/// Element-scan reads for one join: shared cache first (when
 /// configured), then a two-slot per-query fallback (one slot per tag
 /// role), then the backing store — the element-index B+-tree, or the
 /// compact index when `compact` is non-null. Only store reads (tree
@@ -160,8 +150,8 @@ class ScanFetcher {
   /// The Fig. 9 push filter of `seg`'s scan (elements straddling at least
   /// one child splice position), shared through the cache under
   /// ScanKind::kStraddle — the filtered scan is a pure function of
-  /// (tid, sid) at a fixed epoch, so partitions seeding the same segment
-  /// compute it once instead of once each. In compact mode the filter
+  /// (tid, sid) at a fixed epoch, so queries pushing the same segment
+  /// reuse it instead of refiltering. In compact mode the filter
   /// consults each block's skip header first and skips provably
   /// straddler-free blocks without decoding them
   /// (stats->blocks_skipped / join.blocks_skipped_total).
@@ -186,7 +176,7 @@ class ScanFetcher {
   Slot slots_[2];
 };
 
-/// Everything a partition runner needs, prepared once per query.
+/// Everything the round loop needs, prepared once per query.
 struct JoinContext {
   const UpdateLog* log = nullptr;
   const ElementIndex* index = nullptr;
@@ -209,8 +199,8 @@ struct JoinContext {
   /// set (sl_a/sl_d.entries then view these instead of the tag-list).
   std::vector<TagListEntry> filtered_a;
   std::vector<TagListEntry> filtered_d;
-  /// Filter accounting, set by PrepareJoinContext (the drivers copy it
-  /// into the result stats — it is per-query, not per-partition).
+  /// Filter accounting, set by PrepareJoinContext (LazyJoin copies it
+  /// into the result stats).
   uint64_t segments_pruned = 0;
   uint64_t elements_skipped = 0;
 };
@@ -225,31 +215,9 @@ Status PrepareJoinContext(const UpdateLog& log, const ElementIndex& index,
                           JoinContext* ctx, bool* empty,
                           const ScanVersionSource* versions = nullptr);
 
-/// One partition of descendant rounds plus the kernel state at its start.
-struct PartitionSeed {
-  size_t d_begin = 0;  ///< first descendant round of the partition
-  size_t d_end = 0;    ///< one past the last round
-  size_t ia_begin = 0; ///< ancestor cursor at d_begin (serial-equivalent)
-  /// Indices into sl_a of ancestor segments whose stack entries are live
-  /// entering round d_begin, outermost (stack bottom) first. Empty at a
-  /// stack-reset point.
-  std::vector<size_t> live_stack;
-};
-
-/// Runs rounds [seed.d_begin, seed.d_end): reconstructs the seed stack,
-/// then executes the serial kernel. Appends pairs (in the serial,
-/// descendant-round-major order) and adds stats into `*out`.
-Status RunJoinPartition(const JoinContext& ctx, const PartitionSeed& seed,
-                        LazyJoinResult* out);
-
-/// Splits the descendant rounds into at most `max_parts` contiguous
-/// partitions of roughly equal round count, each with its
-/// serial-equivalent seed. Boundaries snap to nearby stack-reset points
-/// (provably empty seed stacks) when one falls close enough; otherwise
-/// the live stack is reconstructed from the linear geometry pre-pass.
-/// Returns a single whole-range partition when max_parts <= 1.
-std::vector<PartitionSeed> PartitionRounds(const JoinContext& ctx,
-                                           size_t max_parts);
+/// Runs the serial kernel over every descendant round of `ctx`. Appends
+/// pairs (in descendant-round-major order) and adds stats into `*out`.
+Status RunJoinRounds(const JoinContext& ctx, LazyJoinResult* out);
 
 }  // namespace internal
 }  // namespace lazyxml

@@ -235,17 +235,12 @@ Result<LazyJoinResult> SnapshotReader::JoinByName(
     jopts.ancestor_sid_filter = &prune.ancestor_sids;
     jopts.descendant_sid_filter = &prune.descendant_sids;
   }
-  ParallelJoinOptions popts;
-  popts.join = jopts;
   // The snapshot carries a compact index only when one was built at
   // exactly the pinned epoch; it then covers every scan and the version
   // source is never consulted (compact indexes are immutable).
-  return ParallelLazyJoin(*snap_->log, *live_index_, atid, dtid, popts,
-                          pool_, cache_, snap_->epoch,
-                          query_options_.use_compact_index
-                              ? snap_->compact.get()
-                              : nullptr,
-                          this);
+  return LazyJoin(*snap_->log, *live_index_, atid, dtid, jopts,
+                  use_compact_index_ ? snap_->compact.get() : nullptr, cache_,
+                  snap_->epoch, this);
 }
 
 }  // namespace lazyxml

@@ -44,11 +44,9 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "common/ticket_rwlock.h"
 #include "core/compact_index.h"
 #include "core/element_index.h"
-#include "core/parallel_join.h"
 #include "core/path_query.h"
 #include "core/query_facade.h"
 #include "core/scan_cache.h"
@@ -169,13 +167,13 @@ class SnapshotReader final : public QueryFacade, public ScanVersionSource {
  public:
   SnapshotReader(MvccState* mvcc, std::shared_ptr<const ReadSnapshot> snap,
                  const ElementIndex* live_index, ElementScanCache* cache,
-                 ThreadPool* pool, const QueryOptions& query_options)
+                 bool use_compact_index, bool use_path_summary)
       : mvcc_(mvcc),
         snap_(std::move(snap)),
         live_index_(live_index),
         cache_(cache),
-        pool_(pool),
-        query_options_(query_options) {}
+        use_compact_index_(use_compact_index),
+        use_path_summary_(use_path_summary) {}
   ~SnapshotReader() override;
   SnapshotReader(const SnapshotReader&) = delete;
   SnapshotReader& operator=(const SnapshotReader&) = delete;
@@ -189,7 +187,7 @@ class SnapshotReader final : public QueryFacade, public ScanVersionSource {
   const UpdateLog& update_log() const override { return *snap_->log; }
   const TagDict& tag_dict() const override { return *snap_->dict; }
   const PathSummary* path_summary() const override {
-    return query_options_.use_path_summary ? snap_->summary.get() : nullptr;
+    return use_path_summary_ ? snap_->summary.get() : nullptr;
   }
   ElementScan GetScan(TagId tid, SegmentId sid) override;
   Result<LazyJoinResult> JoinByName(
@@ -207,8 +205,9 @@ class SnapshotReader final : public QueryFacade, public ScanVersionSource {
   std::shared_ptr<const ReadSnapshot> snap_;
   const ElementIndex* live_index_;
   ElementScanCache* cache_;  ///< may be null
-  ThreadPool* pool_;         ///< may be null (serial)
-  QueryOptions query_options_;
+  /// The database's QueryOptions when the view was opened.
+  bool use_compact_index_;
+  bool use_path_summary_;
 };
 
 /// The public consistent-read handle (ConcurrentLazyDatabase::OpenView):

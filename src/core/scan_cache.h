@@ -142,8 +142,8 @@ class ElementScanCache {
 
   /// Counters of each shard individually, in shard order. Skew across
   /// shards (one hot shard taking most hits/evictions) means the key
-  /// hash is funneling contention onto one mutex — bench_parallel_join
-  /// surfaces these per shard to make that visible.
+  /// hash is funneling contention onto one mutex — bench_join surfaces
+  /// these per shard to make that visible.
   std::vector<ElementScanCacheStats> PerShardStats() const;
 
   const ElementScanCacheOptions& options() const { return options_; }

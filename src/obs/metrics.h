@@ -5,10 +5,9 @@
 // per-subsystem stats structs (LazyJoinStats, BatchStats,
 // ElementScanCacheStats, RecoveryStats) that measure them have no common
 // export and already produced one counter bug (the double-counted
-// elements_fetched fixed in the parallel-executor PR). This registry is
-// the single sink those structs now feed: named counters, gauges and
-// log-bucketed latency histograms with stable text/JSON exports
-// (docs/OBSERVABILITY.md).
+// elements_fetched). This registry is the single sink those structs now
+// feed: named counters, gauges and log-bucketed latency histograms with
+// stable text/JSON exports (docs/OBSERVABILITY.md).
 //
 // Cost model: every instrument is a handle resolved once by name
 // (GetCounter et al. return a stable reference for the registry's

@@ -17,56 +17,64 @@ Result<std::unique_ptr<ServerEngine>> ServerEngine::Open(
   LAZYXML_ASSIGN_OR_RETURN(
       std::unique_ptr<DurableLazyDatabase> dur,
       DurableLazyDatabase::Open(options.data_dir, options.durable));
-  // The effective mode comes from the opened database (an existing
-  // directory's snapshot wins over the requested options).
-  const bool lazy_static =
-      dur->database().update_log().mode() == LogMode::kLazyStatic;
-  return std::unique_ptr<ServerEngine>(
-      new ServerEngine(std::move(dur), lazy_static));
+  return std::unique_ptr<ServerEngine>(new ServerEngine(std::move(dur)));
+}
+
+template <typename Fn>
+auto ServerEngine::DurableWrite(Fn&& fn) {
+  std::unique_lock lock(dur_mu_);
+  LazyDatabase& db = dur_->database();
+  const uint64_t before = db.mutation_epoch();
+  auto r = fn(*dur_);
+  if (db.mutation_epoch() != before) db.InvalidateScanCache();
+  return r;
+}
+
+template <typename Fn>
+std::invoke_result_t<Fn&, LazyDatabase*> ServerEngine::DurableRead(Fn&& fn) {
+  {
+    std::shared_lock lock(dur_mu_);
+    if (!dur_->database().QueryNeedsExclusive()) return fn(&dur_->database());
+  }
+  std::unique_lock lock(dur_mu_);
+  LAZYXML_RETURN_NOT_OK(dur_->Freeze());  // journals an LS freeze point
+  dur_->database().Freeze();              // stale compact index / summary
+  return fn(&dur_->database());
 }
 
 Result<SegmentId> ServerEngine::Append(std::string_view text,
                                        uint64_t* gp_out) {
   if (mem_ != nullptr) return mem_->AppendDocument(text, gp_out);
-  std::unique_lock lock(dur_mu_);
-  const uint64_t gp = dur_->database().update_log().super_document_length();
-  auto r = dur_->InsertSegment(text, gp);
-  dur_->database().InvalidateScanCache();
-  if (r.ok() && gp_out != nullptr) *gp_out = gp;
-  return r;
+  return DurableWrite([&](DurableLazyDatabase& d) -> Result<SegmentId> {
+    const uint64_t gp = d.database().update_log().super_document_length();
+    auto r = d.InsertSegment(text, gp);
+    if (r.ok() && gp_out != nullptr) *gp_out = gp;
+    return r;
+  });
 }
 
 Result<SegmentId> ServerEngine::Insert(std::string_view text, uint64_t gp) {
   if (mem_ != nullptr) return mem_->InsertSegment(text, gp);
-  std::unique_lock lock(dur_mu_);
-  auto r = dur_->InsertSegment(text, gp);
-  dur_->database().InvalidateScanCache();
-  return r;
+  return DurableWrite(
+      [&](DurableLazyDatabase& d) { return d.InsertSegment(text, gp); });
 }
 
 Status ServerEngine::Remove(uint64_t gp, uint64_t length) {
   if (mem_ != nullptr) return mem_->RemoveSegment(gp, length);
-  std::unique_lock lock(dur_mu_);
-  Status s = dur_->RemoveSegment(gp, length);
-  dur_->database().InvalidateScanCache();
-  return s;
+  return DurableWrite(
+      [&](DurableLazyDatabase& d) { return d.RemoveSegment(gp, length); });
 }
 
 Status ServerEngine::ApplyBatch(std::span<const UpdateOp> ops,
                                 BatchStats* stats_out) {
   if (mem_ != nullptr) return mem_->ApplyBatch(ops, stats_out);
-  std::unique_lock lock(dur_mu_);
-  Status s = dur_->ApplyBatch(ops, stats_out);
-  dur_->database().InvalidateScanCache();
-  return s;
+  return DurableWrite(
+      [&](DurableLazyDatabase& d) { return d.ApplyBatch(ops, stats_out); });
 }
 
 Status ServerEngine::Compact() {
   if (mem_ != nullptr) return mem_->CompactAll();
-  std::unique_lock lock(dur_mu_);
-  Status s = dur_->CompactAll();
-  dur_->database().InvalidateScanCache();
-  return s;
+  return DurableWrite([](DurableLazyDatabase& d) { return d.CompactAll(); });
 }
 
 Status ServerEngine::Freeze() {
@@ -80,36 +88,18 @@ Status ServerEngine::Freeze() {
 
 Result<PathQueryResult> ServerEngine::Path(std::string_view expr) {
   if (mem_ != nullptr) return mem_->Path(expr);
-  if (dur_lazy_static_) {
-    // An LS query freezes (and journals the freeze point) — exclusive.
-    std::unique_lock lock(dur_mu_);
-    LAZYXML_RETURN_NOT_OK(dur_->Freeze());
-    return EvaluatePath(&dur_->database(), expr);
-  }
-  std::shared_lock lock(dur_mu_);
-  return EvaluatePath(&dur_->database(), expr);
+  return DurableRead([&](LazyDatabase* db) { return EvaluatePath(db, expr); });
 }
 
 Result<TwigQueryResult> ServerEngine::Twig(std::string_view expr) {
   if (mem_ != nullptr) return mem_->Twig(expr);
-  if (dur_lazy_static_) {
-    std::unique_lock lock(dur_mu_);
-    LAZYXML_RETURN_NOT_OK(dur_->Freeze());
-    return EvaluateTwig(&dur_->database(), expr);
-  }
-  std::shared_lock lock(dur_mu_);
-  return EvaluateTwig(&dur_->database(), expr);
+  return DurableRead([&](LazyDatabase* db) { return EvaluateTwig(db, expr); });
 }
 
 Result<XPathResult> ServerEngine::Xpath(std::string_view expr) {
   if (mem_ != nullptr) return mem_->Xpath(expr);
-  if (dur_lazy_static_) {
-    std::unique_lock lock(dur_mu_);
-    LAZYXML_RETURN_NOT_OK(dur_->Freeze());
-    return EvaluateXPath(&dur_->database(), expr);
-  }
-  std::shared_lock lock(dur_mu_);
-  return EvaluateXPath(&dur_->database(), expr);
+  return DurableRead(
+      [&](LazyDatabase* db) { return EvaluateXPath(db, expr); });
 }
 
 Result<check::CheckReport> ServerEngine::Check() {

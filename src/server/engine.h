@@ -7,8 +7,10 @@
 //   durable     wraps DurableLazyDatabase (which is deliberately not
 //               thread-safe; storage/durable_database.h) and applies the
 //               *same* locking discipline here: updates and maintenance
-//               exclusive, queries shared in LD mode, exclusive in LS
-//               mode (where a query journals the freeze, i.e. mutates).
+//               exclusive; queries shared unless deferred pre-query work
+//               is pending (LazyDatabase::QueryNeedsExclusive: an LS
+//               freeze, which is journaled, or a stale compact index or
+//               path summary), in which case exclusive.
 //
 // Command execution (server/command.cc) calls only this class, so the
 // wire/command layers never care which shape is behind them.
@@ -21,6 +23,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "check/checker.h"
 #include "common/result.h"
@@ -96,15 +99,28 @@ class ServerEngine {
  private:
   explicit ServerEngine(std::unique_ptr<ConcurrentLazyDatabase> mem)
       : mem_(std::move(mem)) {}
-  ServerEngine(std::unique_ptr<DurableLazyDatabase> dur, bool lazy_static)
-      : dur_(std::move(dur)), dur_lazy_static_(lazy_static) {}
+  explicit ServerEngine(std::unique_ptr<DurableLazyDatabase> dur)
+      : dur_(std::move(dur)) {}
+
+  /// Durable shape: runs the update `fn(DurableLazyDatabase&)` under the
+  /// exclusive lock and purges the scan cache only when it advanced the
+  /// mutation epoch (a rejected op changed nothing).
+  template <typename Fn>
+  auto DurableWrite(Fn&& fn);
+
+  /// Durable shape: runs the query `fn(LazyDatabase*)` under the shared
+  /// lock when no deferred pre-query work is pending; otherwise takes the
+  /// lock exclusively, journals the LS freeze, performs the pending
+  /// builds and runs the query while still holding it (the durable twin
+  /// of ConcurrentLazyDatabase::ReadQuery).
+  template <typename Fn>
+  std::invoke_result_t<Fn&, LazyDatabase*> DurableRead(Fn&& fn);
 
   // Exactly one of the two is set.
   std::unique_ptr<ConcurrentLazyDatabase> mem_;
   std::unique_ptr<DurableLazyDatabase> dur_;
   /// Durable-mode lock (same discipline as ConcurrentLazyDatabase).
   TicketSharedMutex dur_mu_;
-  bool dur_lazy_static_ = false;
 };
 
 }  // namespace server

@@ -159,7 +159,6 @@ TEST(ConcurrentDatabaseTest, LazyStaticQueriesSerialize) {
 
 TEST(ConcurrentDatabaseTest, WritersPurgeScanCache) {
   LazyDatabaseOptions opts;
-  opts.query.num_threads = 2;
   opts.query.cache_bytes = 1u << 20;
   ConcurrentLazyDatabase db(opts);
   ASSERT_TRUE(db.InsertSegment("<seg><A><D/></A><A><D/></A></seg>", 0).ok());
@@ -273,13 +272,12 @@ TEST(ConcurrentDatabaseTest, LazyStaticPostFreezeReaderStorm) {
 }
 
 TEST(ConcurrentDatabaseTest, CachedParallelQueriesUnderConcurrentWrites) {
-  // Readers race a writer with the pool + cache enabled; every join must
+  // Readers race a writer with the cache enabled; every join must
   // observe some consistent document state (pair counts can only be one
   // of the states the writer produces) and invariants must hold at the
   // end. Run under TSan this also exercises the cache's sharded locking
   // against the facade's epoch bumps.
   LazyDatabaseOptions opts;
-  opts.query.num_threads = 2;
   opts.query.cache_bytes = 1u << 20;
   ConcurrentLazyDatabase db(opts);
   ASSERT_TRUE(db.InsertSegment("<seg><A></A></seg>", 0).ok());
